@@ -1,27 +1,36 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Incrementally grown codebook guaranteeing ‖e − C(b)‖₂ ≤ eps for every
   * assignment (Def. 3.2 / Eq. 3). New codewords are appended whenever a
   * sample has no codeword within the bound — the paper's "additional
   * codewords are added to update C" rule for dynamic data. A uniform grid
-  * hash of cell size eps makes nearest-within-eps O(1) amortised. */
+  * hash of cell size eps makes nearest-within-eps O(1) amortised. Codewords
+  * live in flat coordinate arrays; each grid cell maps to its first codeword
+  * id and `next` chains the rest of the cell in insertion order. */
 final class ErrorBoundedCodebook(val eps: Double) {
   require(eps > 0, "eps must be positive")
-  private val words = mutable.ArrayBuffer.empty[Pt]
-  private val grid = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Int]]
+  private var xs = new Array[Double](64)
+  private var ys = new Array[Double](64)
+  private var next = new Array[Int](64) // next codeword id in the same cell, -1 = last
+  private var n = 0
+  private val grid = new LongIntTable // cell key -> first codeword id in the cell
 
+  // Injective while |cx|, |cy| < 2^31; beyond that, cells alias, which costs
+  // lookups but not correctness, since every candidate's distance is checked.
   private def key(cx: Long, cy: Long): Long = (cx << 32) ^ (cy & 0xffffffffL)
   private def cellX(p: Pt): Long = math.floor(p.x / eps).toLong
   private def cellY(p: Pt): Long = math.floor(p.y / eps).toLong
 
-  def size: Int = words.length
-  def apply(i: Int): Pt = words(i)
-  def codewords: IndexedSeq[Pt] = words.toIndexedSeq
+  def size: Int = n
+  def apply(i: Int): Pt = {
+    if (i >= n) throw new IndexOutOfBoundsException(s"codeword $i of $n")
+    Pt(xs(i), ys(i))
+  }
+  def codewords: IndexedSeq[Pt] = IndexedSeq.tabulate(n)(apply)
 
-  /** Index of the nearest codeword within eps, or -1 if none qualifies.
-    * A ball of radius eps around p only reaches the 3×3 cell neighbourhood. */
+  /** Index of the nearest codeword within eps, or -1 if none qualifies
+    * (ties go to the one visited last). A ball of radius eps around p only
+    * reaches the 3×3 cell neighbourhood. */
   def nearestWithin(p: Pt): Int = {
     val cx = cellX(p); val cy = cellY(p)
     var best = -1
@@ -30,15 +39,12 @@ final class ErrorBoundedCodebook(val eps: Double) {
     while (dx <= 1) {
       var dy = -1L
       while (dy <= 1) {
-        grid.get(key(cx + dx, cy + dy)) match {
-          case Some(ids) =>
-            var i = 0
-            while (i < ids.length) {
-              val d = words(ids(i)).dist(p)
-              if (d <= bestD) { bestD = d; best = ids(i) }
-              i += 1
-            }
-          case None =>
+        var i = grid.get(key(cx + dx, cy + dy))
+        while (i >= 0) {
+          val ex = xs(i) - p.x; val ey = ys(i) - p.y
+          val d = math.sqrt(ex * ex + ey * ey)
+          if (d <= bestD) { bestD = d; best = i }
+          i = next(i)
         }
         dy += 1
       }
@@ -54,9 +60,18 @@ final class ErrorBoundedCodebook(val eps: Double) {
   }
 
   def add(p: Pt): Int = {
-    val i = words.length
-    words += p
-    grid.getOrElseUpdate(key(cellX(p), cellY(p)), mutable.ArrayBuffer.empty) += i
+    val i = n
+    if (i == xs.length) {
+      xs = java.util.Arrays.copyOf(xs, 2 * i)
+      ys = java.util.Arrays.copyOf(ys, 2 * i)
+      next = java.util.Arrays.copyOf(next, 2 * i)
+    }
+    xs(i) = p.x; ys(i) = p.y; next(i) = -1
+    n += 1
+    val k = key(cellX(p), cellY(p))
+    var last = grid.get(k)
+    if (last < 0) grid(k) = i
+    else { while (next(last) >= 0) last = next(last); next(last) = i }
     i
   }
 }

@@ -16,11 +16,27 @@ object Geo {
   def toDegrees(m: Double): Double = m / MetersPerDegree
 }
 
-/** Small integer-math helpers shared by size accounting. */
+/** Small integer helpers shared by size accounting and grouping. */
 object MathUtil {
   /** Bits needed to address `v` distinct values (min 1). */
   def ceilLog2(v: Int): Int =
     if (v <= 2) 1 else 32 - Integer.numberOfLeadingZeros(v - 1)
+
+  /** Calls f(g, indices) for each distinct group g ≥ 0 of group(0 until n),
+    * in increasing g, with the indices of g in increasing order; indices
+    * whose group is negative are skipped. One primitive sort, no boxing. */
+  def foreachGroup(n: Int, group: Int => Int)(f: (Int, Array[Int]) => Unit): Unit = {
+    val packed = Array.tabulate(n)(i => (group(i).toLong << 32) | i).filter(_ >= 0)
+    java.util.Arrays.sort(packed)
+    var a = 0
+    while (a < packed.length) {
+      val g = (packed(a) >>> 32).toInt
+      var b = a + 1
+      while (b < packed.length && (packed(b) >>> 32).toInt == g) b += 1
+      f(g, Array.tabulate(b - a)(j => packed(a + j).toInt))
+      a = b
+    }
+  }
 }
 
 /** Half-open axis-aligned rectangle [x0,x1) × [y0,y1). */

@@ -44,22 +44,14 @@ final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]],
   * encoder and the equal-budget evaluation pipelines (Tables 2–4) run on
   * top of this so they share identical prediction semantics. */
 final class PredictiveFrontend(val params: PpqParams) {
-  private val hist = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]] // reconstructed, oldest→newest
-  private val raw = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]  // raw, for AR features
+  private val hist: PredictiveFrontend.Histories = mutable.HashMap.empty // reconstructed
+  private val raw: PredictiveFrontend.Histories = mutable.HashMap.empty  // raw, for AR features
   private val partitioner = new IncrementalPartitioner(params.epsP, params.partGrowth, params.seed)
 
   final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt], numParts: Int)
 
   /** Last k reconstructed points of `id`, most recent first ([t-1, t-2, ...]). */
-  def histOf(id: Int): Array[Pt] =
-    hist.get(id) match {
-      case Some(b) if b.length >= params.k =>
-        val out = new Array[Pt](params.k)
-        var j = 0
-        while (j < params.k) { out(j) = b(b.length - 1 - j); j += 1 }
-        out
-      case _ => Array.empty
-    }
+  def histOf(id: Int): Array[Pt] = PredictiveFrontend.lastK(hist, id, params.k)
 
   def numPartitions: Int = partitioner.numPartitions
 
@@ -74,28 +66,29 @@ final class PredictiveFrontend(val params: PpqParams) {
           Predictor.arFeatures(raw.getOrElse(id, mutable.ArrayBuffer.empty[Pt]), params.k, params.arWindow)
         })
     }
+    val n = points.length
+    val hs = Array.tabulate(n)(i => histOf(points(i)._1))
     val coeffs = mutable.HashMap.empty[Int, Array[Double]]
-    if (params.predict) {
-      val byPart = points.indices.groupBy(assign(_))
-      for ((p, idxs) <- byPart) {
-        val ready = idxs.filter(i => histOf(points(i)._1).length == params.k)
-        coeffs(p) =
-          if (ready.nonEmpty)
-            Predictor.fit(ready.map(i => histOf(points(i)._1)).toArray,
-                          ready.map(i => points(i)._2).toArray, params.k)
+    var numParts = 0
+    MathUtil.foreachGroup(n, assign(_)) { (part, idxs) =>
+      numParts += 1
+      if (params.predict) {
+        val ready = idxs.filter(hs(_).length == params.k)
+        coeffs(part) =
+          if (ready.nonEmpty) Predictor.fit(ready.map(hs), ready.map(points(_)._2), params.k)
           else new Array[Double](params.k)
       }
     }
-    val preds = new Array[Pt](points.length)
+    val preds = new Array[Pt](n)
     var i = 0
-    while (i < points.length) {
-      val h = histOf(points(i)._1)
+    while (i < n) {
+      val h = hs(i)
       preds(i) =
         if (params.predict && h.length == params.k) Predictor.predict(coeffs(assign(i)), h)
         else Pt(0.0, 0.0) // P_j[t] = 0 for t ≤ k (Alg. 1)
       i += 1
     }
-    Plan(assign, coeffs.toMap, preds, assign.distinct.length)
+    Plan(assign, coeffs.toMap, preds, numParts)
   }
 
   /** Record this step's raw inputs and codebook reconstructions — the
@@ -104,14 +97,32 @@ final class PredictiveFrontend(val params: PpqParams) {
     var i = 0
     while (i < points.length) {
       val (id, rp) = points(i)
-      val hb = hist.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
-      hb += recons(i)
-      if (hb.length > params.k + 2) hb.remove(0)
-      val rb = raw.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
-      rb += rp
-      if (rb.length > params.arWindow + params.k + 2) rb.remove(0)
+      PredictiveFrontend.push(hist, id, recons(i), params.k + 2)
+      PredictiveFrontend.push(raw, id, rp, params.arWindow + params.k + 2)
       i += 1
     }
+  }
+}
+
+private[core] object PredictiveFrontend {
+  type Histories = mutable.HashMap[Int, mutable.ArrayBuffer[Pt]] // per id, oldest→newest
+
+  /** Last k points of id's history, most recent first; empty until it holds k. */
+  def lastK(hist: Histories, id: Int, k: Int): Array[Pt] =
+    hist.get(id) match {
+      case Some(b) if b.length >= k =>
+        val out = new Array[Pt](k)
+        var j = 0
+        while (j < k) { out(j) = b(b.length - 1 - j); j += 1 }
+        out
+      case _ => Array.empty
+    }
+
+  /** Append p to id's history, keeping its newest `cap` points. */
+  def push(hist: Histories, id: Int, p: Pt, cap: Int): Unit = {
+    val b = hist.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
+    b += p
+    if (b.length > cap) b.remove(0)
   }
 }
 
@@ -183,18 +194,10 @@ object PpqDecoder {
                   steps: Seq[StepSummary], codes: Seq[CodedPoint]): Map[(Int, Int), Pt] = {
     val qt = params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
     val byT = codes.groupBy(_.t)
-    val hist = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]
-    val out = mutable.HashMap.empty[(Int, Int), Pt]
+    val hist: PredictiveFrontend.Histories = mutable.HashMap.empty
+    val out = Map.newBuilder[(Int, Int), Pt]
     for (s <- steps.sortBy(_.t); cp <- byT.getOrElse(s.t, Seq.empty)) {
-      val hb = hist.get(cp.trajId)
-      val h: Array[Pt] = hb match {
-        case Some(b) if b.length >= params.k =>
-          val a = new Array[Pt](params.k)
-          var j = 0
-          while (j < params.k) { a(j) = b(b.length - 1 - j); j += 1 }
-          a
-        case _ => Array.empty
-      }
+      val h = PredictiveFrontend.lastK(hist, cp.trajId, params.k)
       val pred =
         if (params.predict && h.length == params.k) Predictor.predict(s.coeffs(cp.part), h)
         else Pt(0.0, 0.0)
@@ -203,11 +206,9 @@ object PpqDecoder {
         case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
         case None => recon
       }
-      val b = hist.getOrElseUpdate(cp.trajId, mutable.ArrayBuffer.empty)
-      b += recon
-      if (b.length > params.k + 2) b.remove(0)
-      out((cp.trajId, cp.t)) = refined
+      PredictiveFrontend.push(hist, cp.trajId, recon, params.k + 2)
+      out += ((cp.trajId, cp.t) -> refined)
     }
-    out.toMap
+    out.result()
   }
 }

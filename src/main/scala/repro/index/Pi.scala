@@ -21,7 +21,24 @@ final class PiIndex(val gc: Double) {
   val regions = mutable.ArrayBuffer.empty[GridRegion]
   /** TRD baseline densities d(R, t_s) captured when each region was created. */
   val baseDensity = mutable.ArrayBuffer.empty[Double]
-  private val postings = mutable.HashMap.empty[(Int, Int, Int, Int), Array[Int]] // (region,cx,cy,t) -> ids
+  // Postings are keyed by (cell << 32 | t). Cells are numbered region by
+  // region, each region's grid with a one-cell border, since neighbour
+  // lookups reach index −1 and cellsX/cellsY; cellBase(r) is region r's
+  // first cell number and its last entry the total.
+  private val cellBase = mutable.ArrayBuffer(0L)
+  private val slots = new LongIntTable                      // key -> index into lists
+  private val lists = mutable.ArrayBuffer.empty[Array[Int]] // sorted ids per posting
+
+  private def key(r: Int, cx: Int, cy: Int, t: Int): Long = {
+    val g = regions(r)
+    require(cx >= -1 && cx <= g.cellsX && cy >= -1 && cy <= g.cellsY, s"cell ($cx, $cy) outside region $r")
+    ((cellBase(r) + (cx + 1L) * (g.cellsY + 2L) + (cy + 1)) << 32) | (t & 0xffffffffL)
+  }
+
+  private def posting(r: Int, cx: Int, cy: Int, t: Int): Array[Int] = {
+    val s = slots.get(key(r, cx, cy, t))
+    if (s < 0) Array.emptyIntArray else lists(s)
+  }
 
   def numRegions: Int = regions.length
 
@@ -44,23 +61,28 @@ final class PiIndex(val gc: Double) {
 
   /** Insert covered points' ids into their (region, cell, t) postings. */
   def insert(t: Int, pts: Array[(Int, Pt)], cls: Array[Int]): Unit = {
-    val grouped = mutable.HashMap.empty[(Int, Int, Int, Int), mutable.ArrayBuffer[Int]]
-    var i = 0
-    while (i < pts.length) {
+    val fresh = lists.length // postings from here on are new in this call
+    val slotOf = Array.tabulate(pts.length) { i =>
       val r = cls(i)
-      if (r >= 0) {
+      if (r < 0) -1
+      else {
         val (cx, cy) = regions(r).cellOf(pts(i)._2)
-        grouped.getOrElseUpdate((r, cx, cy, t), mutable.ArrayBuffer.empty) += pts(i)._1
+        val k = key(r, cx, cy, t)
+        var s = slots.get(k)
+        if (s < 0) { s = lists.length; slots(k) = s; lists += Array.emptyIntArray }
+        s
       }
-      i += 1
     }
-    for ((k, ids) <- grouped) {
-      val sorted = ids.toArray.sorted
-      postings(k) = postings.get(k).map(old => (old ++ sorted).distinct.sorted).getOrElse(sorted)
+    MathUtil.foreachGroup(pts.length, slotOf(_)) { (s, idxs) =>
+      val ids = idxs.map(pts(_)._1).sorted
+      lists(s) = if (s >= fresh) ids else (lists(s) ++ ids).distinct.sorted
     }
   }
 
   def addRegion(r: GridRegion, density: Double): Int = {
+    val end = cellBase.last + (r.cellsX + 2L) * (r.cellsY + 2L)
+    require(end <= (1L << 32), s"$end cells exceed the 32-bit cell numbering of one PI")
+    cellBase += end
     regions += r
     baseDensity += density
     regions.length - 1
@@ -71,7 +93,7 @@ final class PiIndex(val gc: Double) {
     val r = regionOf(p)
     if (r < 0) return Array.empty
     val (cx, cy) = regions(r).cellOf(p)
-    postings.getOrElse((r, cx, cy, t), Array.empty)
+    posting(r, cx, cy, t)
   }
 
   /** Ids in the cell of p and its 8 neighbours at t (local-search support). */
@@ -84,7 +106,7 @@ final class PiIndex(val gc: Double) {
     while (dx <= 1) {
       var dy = -1
       while (dy <= 1) {
-        postings.get((r, cx + dx, cy + dy, t)).foreach(out ++= _)
+        out ++= posting(r, cx + dx, cy + dy, t)
         dy += 1
       }
       dx += 1
@@ -92,17 +114,23 @@ final class PiIndex(val gc: Double) {
     out.distinct.toArray
   }
 
-  def postingCount: Int = postings.size
-  def allPostings: Iterator[((Int, Int, Int, Int), Array[Int])] = postings.iterator
-  def timestamps: Set[Int] = postings.keysIterator.map(_._4).toSet
+  def postingCount: Int = slots.size
+
+  /** ((region, cx, cy, t), sorted ids) for every posting. */
+  def allPostings: Iterator[((Int, Int, Int, Int), Array[Int])] = slots.iterator.map { case (k, s) =>
+    val cell = k >>> 32
+    val r = cellBase.lastIndexWhere(_ <= cell)
+    val (local, h) = (cell - cellBase(r), regions(r).cellsY + 2)
+    ((r, (local / h).toInt - 1, (local % h).toInt - 1, k.toInt), lists(s))
+  }
 
   /** Compressed size: Huffman-coded postings + one shared code table +
     * per-posting 32-bit count headers + region rectangles. */
   def sizeBits: Long = {
-    if (postings.isEmpty) return regions.length.toLong * 4 * 64
-    val table = IdCodec.buildTable(postings.valuesIterator.toIterable)
+    if (lists.isEmpty) return regions.length.toLong * 4 * 64
+    val table = IdCodec.buildTable(lists)
     var bits = table.tableBits + regions.length.toLong * 4 * 64
-    for (ids <- postings.valuesIterator) bits += IdCodec.encode(ids, table).bitLen + 32
+    for (ids <- lists) bits += IdCodec.encode(ids, table).bitLen + 32
     bits
   }
 }

@@ -26,9 +26,7 @@ object Queries {
   def approxByCell(recon: collection.Map[(Int, Int), Pt], data: TrajDataset, q: Strq, gc: Double): Set[Int] = {
     val origin = Pt(data.bbox.x0, data.bbox.y0)
     val qc = cellOf(Pt(q.x, q.y), origin, gc)
-    (0 until data.numTrajs).filter { i =>
-      recon.get((i, q.t)).exists(p => cellOf(p, origin, gc) == qc)
-    }.toSet
+    idsAt(recon, data.numTrajs, q.t)(p => cellOf(p, origin, gc) == qc)
   }
 
   /** Local search (§5.2): candidates are reconstructions inside the query
@@ -42,9 +40,21 @@ object Queries {
     val cx1 = origin.x + (qc._1 + 1) * gc + radius
     val cy0 = origin.y + qc._2 * gc - radius
     val cy1 = origin.y + (qc._2 + 1) * gc + radius
-    (0 until data.numTrajs).filter { i =>
-      recon.get((i, q.t)).exists(p => p.x >= cx0 && p.x < cx1 && p.y >= cy0 && p.y < cy1)
-    }.toSet
+    idsAt(recon, data.numTrajs, q.t)(p => p.x >= cx0 && p.x < cx1 && p.y >= cy0 && p.y < cy1)
+  }
+
+  /** Ids i < n whose reconstruction at t exists and satisfies keep. */
+  private def idsAt(recon: collection.Map[(Int, Int), Pt], n: Int, t: Int)(keep: Pt => Boolean): Set[Int] = {
+    val out = Set.newBuilder[Int]
+    var i = 0
+    while (i < n) {
+      recon.get((i, t)) match {
+        case Some(p) if keep(p) => out += i
+        case _ =>
+      }
+      i += 1
+    }
+    out.result()
   }
 
   /** Exact refinement: access the raw trajectory of each candidate and keep

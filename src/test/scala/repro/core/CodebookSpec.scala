@@ -63,6 +63,81 @@ class CodebookSpec extends AnyFunSuite {
     assert(cb.size <= 16, s"size=${cb.size}")
   }
 
+  /** Brute force over every codeword: (index of a nearest one, its distance). */
+  private def bruteNearest(cb: ErrorBoundedCodebook, p: Pt): (Int, Double) =
+    if (cb.size == 0) (-1, Double.PositiveInfinity)
+    else (0 until cb.size).map(i => (i, cb(i).dist(p))).minBy(_._2)
+
+  // Cells (cx, cy) whose cx ^ cy coincide: the grid must still tell them apart.
+  private val xorTwins: Seq[(String, Seq[(Long, Long)])] = Seq(
+    "diagonal" -> (-40L to 40L).map(c => (c, c)),
+    "mirrored" -> (for (a <- -12L to 12L; b <- -12L to 12L) yield (a, b)),
+    "axes" -> (1L to 60L).flatMap(c => Seq((c, 0L), (0L, c), (-c, 0L), (0L, -c))))
+
+  for ((name, cells) <- xorTwins)
+    test(s"cells sharing cx ^ cy keep their own codewords ($name)") {
+      val eps = 0.01
+      val cb = new ErrorBoundedCodebook(eps)
+      val centres = cells.map { case (cx, cy) => Pt((cx + 0.5) * eps, (cy + 0.5) * eps) }
+      for (c <- centres) cb.add(c)
+      for ((c, i) <- centres.zipWithIndex) {
+        assert(cb.nearestWithin(c) == i, s"cell ${cells(i)}")
+        // a point just inside the cell's corner still finds its own codeword
+        assert(cb.nearestWithin(Pt(c.x - 0.45 * eps, c.y - 0.45 * eps)) == i)
+      }
+      // cell centres sit eps apart, so a midpoint is within eps of two of them
+      val mid = Pt((centres(0).x + centres(1).x) / 2, (centres(0).y + centres(1).y) / 2)
+      val got = cb.nearestWithin(mid)
+      assert(got >= 0 && cb(got).dist(mid) == bruteNearest(cb, mid)._2)
+    }
+
+  // At t <= k the encoder quantizes raw coordinates: GeoLife's longitude
+  // ~116.4 at eps1 = 0.001 gives |cx| ~ 117k, and southern/western
+  // coordinates give negative cells of the same size.
+  for ((x, y) <- Seq((116.4, 39.9), (-116.4, -39.9), (-8.61, 41.15), (179.999, -89.999)))
+    test(s"far-from-origin errors quantize within eps and are found again ($x, $y)") {
+      val eps = 0.001
+      val cb = new ErrorBoundedCodebook(eps)
+      val rng = new Random(31)
+      val pts = Seq.fill(3000)(Pt(x + rng.nextGaussian() * 0.02, y + rng.nextGaussian() * 0.02))
+      val ids = pts.map(cb.quantize)
+      for ((p, b) <- pts.zip(ids)) assert(cb(b).dist(p) <= eps)
+      for (i <- 0 until cb.size) assert(cb.nearestWithin(cb(i)) == i)
+      assert(cb.size < pts.length)
+    }
+
+  // Def. 3.2 plus nearest-ness: the returned codeword is within eps and no
+  // codeword is strictly nearer; a new codeword appears only when brute
+  // force finds none within eps.
+  for (seed <- 40 until 45)
+    test(s"quantize agrees with brute force on a random stream (seed=$seed)") {
+      val rng = new Random(seed)
+      val eps = 0.02 + rng.nextDouble() * 0.1
+      val cb = new ErrorBoundedCodebook(eps)
+      for (_ <- 0 until 1500) {
+        val p = Pt(rng.nextGaussian() * 0.5, rng.nextGaussian() * 0.5)
+        val (_, bestD) = bruteNearest(cb, p)
+        val before = cb.size
+        val b = cb.quantize(p)
+        if (bestD <= eps) {
+          assert(cb.size == before && b < before)
+          assert(cb(b).dist(p) == bestD)
+        } else assert(b == before && cb.size == before + 1 && cb(b) == p)
+      }
+    }
+
+  test("LongIntTable stores, replaces and finds keys across growth") {
+    val t = new LongIntTable
+    val keys = (0 until 5000).map(i => (i.toLong << 32) ^ (i.toLong & 0xffffffffL)) ++ Seq(Long.MinValue, -1L, 0L)
+    for ((k, v) <- keys.zipWithIndex) t(k) = v
+    assert(t.size == keys.distinct.length)
+    for ((k, v) <- keys.zipWithIndex.reverse.distinctBy(_._1)) assert(t.get(k) == v)
+    t(0L) = 7
+    assert(t.get(0L) == 7 && t.get(12345678901L) == -1)
+    assert(t.iterator.toMap.size == t.size)
+    intercept[IllegalArgumentException](t(1L) = -1)
+  }
+
   test("KMeans: k >= n assigns every point its own centroid region (zero loss)") {
     val pts = Array(Pt(0, 0), Pt(1, 1), Pt(2, 2))
     val (cents, assign) = KMeans.clusterPts(pts, 10)

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.TrajGen
+import repro.Digest
+import repro.data.{TrajDataset, TrajGen}
 import scala.util.Random
 
 class PpqEngineSpec extends AnyFunSuite {
@@ -133,4 +134,42 @@ class PpqEngineSpec extends AnyFunSuite {
     assert(enc.numPartitions <= data.numTrajs)
     assert(enc.steps.last.numParts >= 1)
   }
+  /** Every field the encoder emits: each CodedPoint, each StepSummary (with
+    * coefficients by partition and assignments by trajectory id), the
+    * codewords and the summary size. */
+  private def encoderDigest(data: TrajDataset, params: PpqParams): String = {
+    val enc = new PpqEncoder(params)
+    val d = new Digest
+    for (t <- 1 to data.len; cp <- enc.step(t, data.pointsAt(t)))
+      d.int(cp.trajId).int(cp.t).int(cp.part).int(cp.b).long(cp.cqcBits).int(cp.cqcLen).pt(cp.recon).pt(cp.refined)
+    for (s <- enc.steps) {
+      d.int(s.t).int(s.numParts)
+      for ((p, c) <- s.coeffs.toSeq.sortBy(_._1)) { d.int(p); c.foreach(d.double) }
+      for ((id, p) <- s.assign.toSeq.sortBy(_._1)) d.int(id).int(p)
+    }
+    enc.codebook.codewords.foreach(d.pt)
+    d.long(enc.summaryBits).hex
+  }
+
+  // Pinned from the encoder as it was before the codebook grid and the
+  // frontend's grouping moved to primitive keys: the summary must not move.
+  private val pinnedEncoderDigests = Seq(
+    ("porto", PartitionMode.Spatial,
+      "68bb60d74f062c99cde3184f5dee5744fed6f7f62a37ffa88885712e7ce9edf6"),
+    ("porto", PartitionMode.Autocorr,
+      "891f257669d8d85360ec70cd446dc2a9e07a6930e7133f093dab8495b3e389d9"),
+    ("porto", PartitionMode.Single,
+      "3f289fe7db8efb54da7d828bcf2f5766793a4bbfaedecc9e5c23cbb32e447cae"),
+    ("geolife", PartitionMode.Spatial,
+      "18e1a15edf672ff7eb59eb3f3eee682ae16db1bf9b025591887a457599d8e8e2"),
+    ("geolife", PartitionMode.Autocorr,
+      "eacdba4b1e85cdf4390401cde96dbdeaf6e7b5eb3696c851d36f7544b8d8ef5b"),
+    ("geolife", PartitionMode.Single,
+      "620930534269d3a9729c27ce076060b36484e84deceb0531331be4742942c126"))
+
+  for ((dataset, mode, pinned) <- pinnedEncoderDigests)
+    test(s"encoder output on $dataset-like data in $mode mode is bit-identical to the pinned digest") {
+      val data = if (dataset == "porto") smallData else TrajGen.geolifeLike(n = 30, len = 40, seed = 11)
+      assert(encoderDigest(data, PpqParams(mode = mode, epsP = 0.05)) == pinned)
+    }
 }

@@ -1,6 +1,7 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Digest
 import repro.core._
 import repro.data.TrajGen
 import repro.query.Queries
@@ -144,5 +145,19 @@ class TablesSpec extends AnyFunSuite {
     val basic = runs(1)
     assert(basic.boundRadiusDeg.isEmpty)
     assert(Queries.maxDeviationDeg(basic.recon, tiny) <= cfg.eps1 + 1e-12)
+  }
+  // Pinned from the per-timestamp PPQ pipelines as they were before the
+  // bounded and fixed variants shared one loop: every reconstruction, and
+  // the bounded run's codeword budget, must stay bit-identical.
+  test("per-timestamp PPQ reconstructions are bit-identical to the pinned digest") {
+    val d = new Digest
+    for (mode <- Seq(PartitionMode.Autocorr, PartitionMode.Spatial, PartitionMode.Single); cqc <- Seq(true, false)) {
+      val bounded = PerTimestep.runPpqBounded("b", tiny, mode, cqc, cfg)
+      val fixed = PerTimestep.runPpqFixed("f", tiny, mode, cqc, 32, cfg)
+      for (((id, t), p) <- bounded.recon.toSeq.sortBy(_._1)) d.int(id).int(t).pt(p)
+      for ((t, v) <- bounded.vPerT.toSeq.sorted) d.int(t).int(v)
+      for (((id, t), p) <- fixed.recon.toSeq.sortBy(_._1)) d.int(id).int(t).pt(p)
+    }
+    assert(d.hex == "86dae433e9f3d36618316b71e9dc0fb17597deb7cf2c8e7cebf65347c2495043")
   }
 }

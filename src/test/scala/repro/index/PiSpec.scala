@@ -1,6 +1,7 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Digest
 import repro.core._
 import repro.data.TrajGen
 import scala.util.Random
@@ -125,5 +126,30 @@ class PiSpec extends AnyFunSuite {
     val pi = Pi.build(5, p, epsS = 0.1, gc = Geo.toDegrees(100.0))
     assert(p.forall { case (_, pt) => pi.regionOf(pt) >= 0 })
     assert(p.forall { case (id, pt) => pi.query(pt, 5).contains(id) })
+  }
+  test("a PI whose cells outgrow the 32-bit cell numbering is refused, not aliased") {
+    val pi = new PiIndex(0.001)
+    pi.addRegion(GridRegion(Rect(0, 0, 1, 1), 0.001), 1.0)
+    intercept[IllegalArgumentException](pi.addRegion(GridRegion(Rect(0, 0, 100, 100), 0.001), 1.0))
+    assert(pi.numRegions == 1)
+  }
+
+  // Pinned from the index as it was when postings were keyed by tuples:
+  // build, a duplicate insert, and an insertion of uncovered points.
+  test("PI postings, size and neighbour lookups are bit-identical to the pinned digest") {
+    val p = pts(11)
+    val pi = Pi.build(1, p, epsS = 0.5, gc = 0.1)
+    pi.insert(1, p.take(30), pi.classify(p.take(30)))
+    pi.insert(2, p, pi.classify(p))
+    val far = Array.tabulate(20)(i => (200 + i, Pt(5.0 + i * 0.01, 5.0 - i * 0.02)))
+    Pi.insertUncovered(pi, 2, far, epsS = 0.5)
+    val d = new Digest
+    d.int(pi.numRegions).int(pi.postingCount).long(pi.sizeBits)
+    for ((k, ids) <- pi.allPostings.toSeq.sortBy(_._1)) d.int(k._1).int(k._2).int(k._3).int(k._4).ints(ids)
+    for (t <- 1 to 2) {
+      for (r <- pi.regions) d.ints(pi.queryWithNeighbors(Pt(r.rect.x0, r.rect.y0), t))
+      for ((_, q) <- p ++ far) d.ints(pi.queryWithNeighbors(q, t)).ints(pi.query(q, t))
+    }
+    assert(d.hex == "b57a58e5c90055773ba21595e2c35884bb008db749d4a26fd6cc4b705c18ff70")
   }
 }

@@ -1,8 +1,9 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Digest
 import repro.core._
-import repro.data.TrajGen
+import repro.data.{TrajDataset, TrajGen}
 
 class TpiSpec extends AnyFunSuite {
 
@@ -118,5 +119,31 @@ class TpiSpec extends AnyFunSuite {
     val tpi = new TpiIndex(epsS = 0.1, gc = gc, epsC = 0.5, epsD = 0.5)
     tpi.step(1, Array((0, Pt(0.5, 0.5))))
     assert(tpi.query(Pt(0.5, 0.5), 99).isEmpty)
+  }
+  /** The index as queries and size accounting see it: periods, every
+    * posting (sorted by key), `sizeBits`, and `queryWithNeighbors` at every
+    * indexed point and at every region's lower-left corner, whose 3×3
+    * neighbourhood reaches cells at index −1. */
+  private def tpiDigest(data: TrajDataset): String = {
+    val tpi = new TpiIndex(epsS = 0.1, gc = gc, epsC = 0.5, epsD = 0.5)
+    for (t <- 1 to data.len) tpi.step(t, data.pointsAt(t))
+    val d = new Digest
+    d.int(tpi.numPeriods).int(tpi.rebuilds).int(tpi.insertions).long(tpi.sizeBits)
+    for (per <- tpi.periods) {
+      d.int(per.start).int(per.end).int(per.pi.postingCount).long(per.pi.sizeBits)
+      for ((k, ids) <- per.pi.allPostings.toSeq.sortBy(_._1)) d.int(k._1).int(k._2).int(k._3).int(k._4).ints(ids)
+      for (r <- per.pi.regions; t <- per.start to per.end)
+        d.ints(per.pi.queryWithNeighbors(Pt(r.rect.x0, r.rect.y0), t))
+    }
+    for (t <- 1 to data.len; (_, p) <- data.pointsAt(t)) d.ints(tpi.queryWithNeighbors(p, t))
+    d.hex
+  }
+
+  // Pinned from the index as it was when postings were keyed by tuples.
+  test("TPI postings, size and neighbour lookups are bit-identical to the pinned digests") {
+    assert(tpiDigest(TrajGen.portoLike(60, 40, seed = 21)) ==
+      "ebb0b4706f7d3a87f894b64ce03b477456dcc24ef59c0f20cf22612c77f6887b")
+    assert(tpiDigest(TrajGen.geolifeLike(30, 40, seed = 11)) ==
+      "c1bb16761fe2d3d3fe2ecbdfac21d720eb720aac6a587ea97c4bb0221545ef12")
   }
 }
